@@ -1,7 +1,7 @@
 package edtrace
 
 // The benchmark harness regenerates every table and figure of the
-// paper's evaluation (see DESIGN.md §3 for the experiment index):
+// paper's evaluation:
 //
 //	BenchmarkTable1Headline   — §2.3/§2.5 headline counters
 //	BenchmarkFig2CaptureLoss  — per-second capture losses under peaks
@@ -18,8 +18,7 @@ package edtrace
 //	index under parallel load)
 //
 // Figure benches share one simulated capture (built once), so -bench=.
-// stays minutes, not hours. Numbers land in bench_output.txt and are
-// interpreted against the paper in EXPERIMENTS.md.
+// stays minutes, not hours.
 
 import (
 	"context"

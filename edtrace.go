@@ -28,6 +28,5 @@
 //	res, err := edtrace.NewSession(src, edtrace.WithFigures()).Run(ctx)
 //
 // See README.md for the quickstart (including the daemon + load
-// generator + self-capture loop), examples/ for runnable programs, and
-// EXPERIMENTS.md for the paper-vs-measured record.
+// generator + self-capture loop) and examples/ for runnable programs.
 package edtrace

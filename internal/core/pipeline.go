@@ -49,8 +49,8 @@ type DiscardSink struct{}
 // Write implements RecordSink.
 func (DiscardSink) Write(*xmlenc.Record) error { return nil }
 
-// PipelineStats counts every stage's outcomes; the headline table of
-// EXPERIMENTS.md is printed from this struct.
+// PipelineStats counts every stage's outcomes; the headline counters of
+// the paper's §2.3 and §2.5 are printed from this struct.
 type PipelineStats struct {
 	Frames       uint64 // ethernet frames processed
 	EthMalformed uint64 // frames that were not IPv4

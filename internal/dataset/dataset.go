@@ -247,14 +247,25 @@ func Open(dir string) (*Manifest, error) {
 
 // ForEach streams every record of the dataset at dir, in order, invoking
 // fn. fn returning a non-nil error aborts the scan and is returned.
+//
+// fn is handed one recycled record: it must not keep the record, or any
+// of its slices, past its return, and calls Clone for a copy it needs
+// longer (the rule core.RecordSink states for the capture side). The
+// record's strings are safe to keep. Compressed chunks are inflated on
+// a second goroutine, overlapping decompression with decoding and fn;
+// that goroutine has exited by the time ForEach returns.
 func ForEach(dir string, fn func(*xmlenc.Record) error) error {
 	man, err := Open(dir)
 	if err != nil {
 		return err
 	}
-	var n uint64
+	var (
+		rec xmlenc.Record
+		in  inflater
+		n   uint64
+	)
 	for _, chunk := range man.Chunks {
-		if err := forEachChunk(filepath.Join(dir, chunk), fn, &n); err != nil {
+		if err := forEachChunk(filepath.Join(dir, chunk), &in, &rec, fn, &n); err != nil {
 			return err
 		}
 	}
@@ -264,7 +275,7 @@ func ForEach(dir string, fn func(*xmlenc.Record) error) error {
 	return nil
 }
 
-func forEachChunk(path string, fn func(*xmlenc.Record) error, n *uint64) error {
+func forEachChunk(path string, in *inflater, rec *xmlenc.Record, fn func(*xmlenc.Record) error, n *uint64) error {
 	f, err := os.Open(path)
 	if err != nil {
 		return fmt.Errorf("dataset: %w", err)
@@ -276,15 +287,16 @@ func forEachChunk(path string, fn func(*xmlenc.Record) error, n *uint64) error {
 		if err != nil {
 			return fmt.Errorf("dataset: %s: %w", path, err)
 		}
-		defer gz.Close()
-		src = gz
+		in.start(gz)
+		defer in.wait()
+		src = in
 	}
 	dec, err := xmlenc.NewDecoder(src)
 	if err != nil {
 		return fmt.Errorf("dataset: %s: %w", path, err)
 	}
 	for {
-		rec, err := dec.Next()
+		err := dec.NextInto(rec)
 		if err == io.EOF {
 			return nil
 		}

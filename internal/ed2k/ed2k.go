@@ -8,7 +8,7 @@
 // length-prefixed strings, typed metadata tags and, for searches, a
 // prefix-encoded boolean expression tree.
 //
-// One deliberate deviation is documented in DESIGN.md: file announcements
+// One deliberate deviation from the real protocol: file announcements
 // (OfferFiles) travel over UDP here, whereas real eDonkey announces over
 // TCP. The paper analyses UDP traffic only yet reports provider-side
 // statistics (its Figures 4 and 6), so our UDP-only capture must observe

@@ -2,6 +2,7 @@ package xmlenc
 
 import (
 	"bufio"
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -21,32 +22,42 @@ type Decoder struct {
 	done  bool
 	count uint64
 	line  int
+
+	// attrs is the tag parser's scratch, reused for every tag.
+	attrs []attr
+	// names interns op and srv values: a dataset has a handful of each,
+	// so NextInto stores them without allocating per record.
+	names map[string]string
 }
+
+// maxNames bounds the intern table, so input with ever-new op or srv
+// values costs an allocation per record rather than unbounded memory.
+const maxNames = 256
 
 // NewDecoder parses the document header and positions the decoder before
 // the first record.
 func NewDecoder(r io.Reader) (*Decoder, error) {
 	s := bufio.NewScanner(r)
 	s.Buffer(make([]byte, 0, 1<<16), 1<<24)
-	d := &Decoder{s: s, meta: map[string]string{}}
+	d := &Decoder{s: s, meta: map[string]string{}, names: map[string]string{}}
 
 	// Prologue: optional xml declaration, then the root element.
 	line, err := d.nextLine()
 	if err != nil {
 		return nil, fmt.Errorf("%w: missing header", ErrSyntax)
 	}
-	if strings.HasPrefix(line, "<?xml") {
+	if bytes.HasPrefix(line, []byte("<?xml")) {
 		line, err = d.nextLine()
 		if err != nil {
 			return nil, fmt.Errorf("%w: missing root element", ErrSyntax)
 		}
 	}
-	name, attrs, self, rest, err := parseTag(line)
-	if err != nil || name != "edtrace" || self || rest != "" {
+	name, self, rest, err := d.parseTag(line)
+	if err != nil || string(name) != "edtrace" || self || len(rest) != 0 {
 		return nil, fmt.Errorf("%w: bad root element %q", ErrSyntax, line)
 	}
-	for _, a := range attrs {
-		d.meta[a.key] = a.val
+	for _, a := range d.attrs {
+		d.meta[string(a.key)] = text(a.val)
 	}
 	if d.meta["version"] != "1.0" {
 		return nil, fmt.Errorf("%w: unsupported version %q", ErrSyntax, d.meta["version"])
@@ -60,60 +71,82 @@ func (d *Decoder) Meta() map[string]string { return d.meta }
 // Count reports records decoded so far.
 func (d *Decoder) Count() uint64 { return d.count }
 
-func (d *Decoder) nextLine() (string, error) {
+// nextLine returns the next non-blank line, trimmed. The slice aliases
+// the scanner's buffer and is valid until the following call.
+func (d *Decoder) nextLine() ([]byte, error) {
 	for d.s.Scan() {
 		d.line++
-		line := strings.TrimSpace(d.s.Text())
-		if line != "" {
+		if line := bytes.TrimSpace(d.s.Bytes()); len(line) != 0 {
 			return line, nil
 		}
 	}
 	if err := d.s.Err(); err != nil {
-		return "", err
+		return nil, err
 	}
-	return "", io.EOF
+	return nil, io.EOF
 }
 
 // Next returns the next record, or io.EOF after the closing root tag.
+// Every call returns a fresh record the caller may keep.
 func (d *Decoder) Next() (*Record, error) {
+	rec := new(Record)
+	if err := d.NextInto(rec); err != nil {
+		return nil, err
+	}
+	return rec, nil
+}
+
+// NextInto decodes the next record into rec, or returns io.EOF after the
+// closing root tag. It overwrites every field of rec and reuses the
+// capacity of its slices, so a reader that recycles one record decodes
+// records without allocating them; such a reader must not keep the
+// record or its slices past the next call (Clone what must survive).
+// The strings stored in rec never alias the decoder's buffers: op and
+// srv values are interned, hashes are allocated.
+func (d *Decoder) NextInto(rec *Record) error {
 	if d.done {
-		return nil, io.EOF
+		return io.EOF
 	}
 	line, err := d.nextLine()
 	if err != nil {
 		if err == io.EOF {
-			return nil, fmt.Errorf("%w: missing </edtrace>", ErrSyntax)
+			return fmt.Errorf("%w: missing </edtrace>", ErrSyntax)
 		}
-		return nil, err
+		return err
 	}
-	if line == "</edtrace>" {
+	if string(line) == "</edtrace>" {
 		d.done = true
-		return nil, io.EOF
+		return io.EOF
 	}
-	rec, err := parseRecord(line)
-	if err != nil {
-		return nil, fmt.Errorf("line %d: %w", d.line, err)
+	rec.Reset()
+	if err := d.parseRecord(line, rec); err != nil {
+		if rerr := d.s.Err(); rerr != nil {
+			return rerr // the line was cut short by a failed read
+		}
+		return fmt.Errorf("line %d: %w", d.line, err)
 	}
 	d.count++
-	return rec, nil
+	return nil
 }
 
+// attr is one parsed attribute; val is still entity-escaped.
 type attr struct {
-	key, val string
+	key, val []byte
 }
 
-// parseTag parses one tag at the start of s, returning the element name,
-// attributes, whether it was self-closing, and the remainder of s.
-func parseTag(s string) (name string, attrs []attr, selfClosing bool, rest string, err error) {
+// parseTag parses one tag at the start of s into its element name and
+// d.attrs, reporting whether it was self-closing and the remainder of s.
+func (d *Decoder) parseTag(s []byte) (name []byte, selfClosing bool, rest []byte, err error) {
+	d.attrs = d.attrs[:0]
 	if len(s) < 2 || s[0] != '<' {
-		return "", nil, false, "", fmt.Errorf("%w: expected tag at %q", ErrSyntax, trunc(s))
+		return nil, false, nil, fmt.Errorf("%w: expected tag at %q", ErrSyntax, trunc(s))
 	}
 	i := 1
 	for i < len(s) && isNameByte(s[i]) {
 		i++
 	}
 	if i == 1 {
-		return "", nil, false, "", fmt.Errorf("%w: empty tag name at %q", ErrSyntax, trunc(s))
+		return nil, false, nil, fmt.Errorf("%w: empty tag name at %q", ErrSyntax, trunc(s))
 	}
 	name = s[1:i]
 	for {
@@ -121,16 +154,16 @@ func parseTag(s string) (name string, attrs []attr, selfClosing bool, rest strin
 			i++
 		}
 		if i >= len(s) {
-			return "", nil, false, "", fmt.Errorf("%w: unterminated tag <%s", ErrSyntax, name)
+			return nil, false, nil, fmt.Errorf("%w: unterminated tag <%s", ErrSyntax, name)
 		}
 		if s[i] == '/' {
 			if i+1 >= len(s) || s[i+1] != '>' {
-				return "", nil, false, "", fmt.Errorf("%w: bad self-close in <%s", ErrSyntax, name)
+				return nil, false, nil, fmt.Errorf("%w: bad self-close in <%s", ErrSyntax, name)
 			}
-			return name, attrs, true, s[i+2:], nil
+			return name, true, s[i+2:], nil
 		}
 		if s[i] == '>' {
-			return name, attrs, false, s[i+1:], nil
+			return name, false, s[i+1:], nil
 		}
 		// attribute: name="value"
 		j := i
@@ -138,29 +171,59 @@ func parseTag(s string) (name string, attrs []attr, selfClosing bool, rest strin
 			j++
 		}
 		if j == i || j >= len(s) || s[j] != '=' || j+1 >= len(s) || s[j+1] != '"' {
-			return "", nil, false, "", fmt.Errorf("%w: bad attribute in <%s> at %q", ErrSyntax, name, trunc(s[i:]))
+			return nil, false, nil, fmt.Errorf("%w: bad attribute in <%s> at %q", ErrSyntax, name, trunc(s[i:]))
 		}
 		k := j + 2
 		for k < len(s) && s[k] != '"' {
 			k++
 		}
 		if k >= len(s) {
-			return "", nil, false, "", fmt.Errorf("%w: unterminated attribute value in <%s>", ErrSyntax, name)
+			return nil, false, nil, fmt.Errorf("%w: unterminated attribute value in <%s>", ErrSyntax, name)
 		}
-		attrs = append(attrs, attr{key: s[i:j], val: unescape(s[j+2 : k])})
+		d.attrs = append(d.attrs, attr{key: s[i:j], val: s[j+2 : k]})
 		i = k + 1
 	}
+}
+
+// get returns the value of the last parsed tag's attribute key.
+func (d *Decoder) get(key string) ([]byte, bool) {
+	for _, a := range d.attrs {
+		if string(a.key) == key {
+			return a.val, true
+		}
+	}
+	return nil, false
+}
+
+// intern returns raw's unescaped value, shared between records.
+func (d *Decoder) intern(raw []byte) string {
+	if s, ok := d.names[string(raw)]; ok {
+		return s
+	}
+	s := text(raw)
+	if len(d.names) < maxNames {
+		d.names[string(raw)] = s
+	}
+	return s
+}
+
+// text returns an attribute value unescaped, as a fresh string.
+func text(raw []byte) string {
+	if bytes.IndexByte(raw, '&') < 0 {
+		return string(raw)
+	}
+	return unescape(string(raw))
 }
 
 func isNameByte(c byte) bool {
 	return c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z' || c >= '0' && c <= '9' || c == '_' || c == '-'
 }
 
-func trunc(s string) string {
+func trunc(s []byte) string {
 	if len(s) > 32 {
-		return s[:32] + "..."
+		return string(s[:32]) + "..."
 	}
-	return s
+	return string(s)
 }
 
 func unescape(s string) string {
@@ -197,39 +260,44 @@ func unescape(s string) string {
 	return b.String()
 }
 
-// parseRecord parses one full <r> line.
-func parseRecord(line string) (*Record, error) {
-	name, attrs, self, rest, err := parseTag(line)
+// parseRecord parses one full <r> line into rec, which must be Reset.
+func (d *Decoder) parseRecord(line []byte, rec *Record) error {
+	name, self, rest, err := d.parseTag(line)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	if name != "r" {
-		return nil, fmt.Errorf("%w: expected <r>, got <%s>", ErrSyntax, name)
+	if string(name) != "r" {
+		return fmt.Errorf("%w: expected <r>, got <%s>", ErrSyntax, name)
 	}
-	rec := &Record{}
-	for _, a := range attrs {
-		switch a.key {
+	for _, a := range d.attrs {
+		switch string(a.key) {
 		case "t":
-			rec.T, err = strconv.ParseFloat(a.val, 64)
+			rec.T, err = strconv.ParseFloat(string(a.val), 64)
 		case "c":
 			rec.Client, err = parseU32(a.val)
 		case "op":
-			rec.Op = a.val
+			// The encoder writes op unescaped, so only a name
+			// round-trips.
+			if isName(a.val) {
+				rec.Op = d.intern(a.val)
+			} else {
+				err = ErrSyntax
+			}
 		case "dir":
-			switch a.val {
+			switch string(a.val) {
 			case "q":
 				rec.Dir = DirQuery
 			case "a":
 				rec.Dir = DirAnswer
 			default:
-				err = fmt.Errorf("%w: dir %q", ErrSyntax, a.val)
+				err = ErrSyntax
 			}
 		case "srv":
-			rec.Server = a.val
+			rec.Server = d.intern(a.val)
 		case "minkb":
-			rec.MinKB, err = strconv.ParseUint(a.val, 10, 64)
+			rec.MinKB, err = strconv.ParseUint(string(a.val), 10, 64)
 		case "maxkb":
-			rec.MaxKB, err = strconv.ParseUint(a.val, 10, 64)
+			rec.MaxKB, err = strconv.ParseUint(string(a.val), 10, 64)
 		case "users":
 			rec.Users, err = parseU32(a.val)
 		case "files":
@@ -237,55 +305,47 @@ func parseRecord(line string) (*Record, error) {
 		case "n":
 			rec.Accepted, err = parseU32(a.val)
 		default:
-			return nil, fmt.Errorf("%w: unknown attribute %q on <r>", ErrSyntax, a.key)
+			return fmt.Errorf("%w: unknown attribute %q on <r>", ErrSyntax, a.key)
 		}
 		if err != nil {
-			return nil, fmt.Errorf("%w: attribute %s=%q", ErrSyntax, a.key, a.val)
+			return fmt.Errorf("%w: attribute %s=%q", ErrSyntax, a.key, a.val)
 		}
 	}
 	if self {
-		if rest != "" {
-			return nil, fmt.Errorf("%w: trailing content %q", ErrSyntax, trunc(rest))
+		if len(rest) != 0 {
+			return fmt.Errorf("%w: trailing content %q", ErrSyntax, trunc(rest))
 		}
-		return rec, nil
+		return nil
 	}
 	// Children until </r>.
 	for {
-		if strings.HasPrefix(rest, "</r>") {
-			if rest != "</r>" {
-				return nil, fmt.Errorf("%w: trailing content %q", ErrSyntax, trunc(rest))
+		if bytes.HasPrefix(rest, []byte("</r>")) {
+			if len(rest) != len("</r>") {
+				return fmt.Errorf("%w: trailing content %q", ErrSyntax, trunc(rest))
 			}
-			return rec, nil
+			return nil
 		}
-		var cname string
-		var cattrs []attr
+		var cname []byte
 		var cself bool
-		cname, cattrs, cself, rest, err = parseTag(rest)
+		cname, cself, rest, err = d.parseTag(rest)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if !cself {
-			return nil, fmt.Errorf("%w: child <%s> must be self-closing", ErrSyntax, cname)
+			return fmt.Errorf("%w: child <%s> must be self-closing", ErrSyntax, cname)
 		}
-		if err := applyChild(rec, cname, cattrs); err != nil {
-			return nil, err
+		if err := d.applyChild(rec, cname); err != nil {
+			return err
 		}
 	}
 }
 
-func applyChild(rec *Record, name string, attrs []attr) error {
-	get := func(key string) (string, bool) {
-		for _, a := range attrs {
-			if a.key == key {
-				return a.val, true
-			}
-		}
-		return "", false
-	}
-	switch name {
+// applyChild adds the child element just parsed (its attributes are in
+// d.attrs) to rec.
+func (d *Decoder) applyChild(rec *Record, name []byte) error {
+	switch string(name) {
 	case "f":
-		var fi FileInfo
-		ids, ok := get("id")
+		ids, ok := d.get("id")
 		if !ok {
 			return fmt.Errorf("%w: <f> without id", ErrSyntax)
 		}
@@ -293,18 +353,20 @@ func applyChild(rec *Record, name string, attrs []attr) error {
 		if err != nil {
 			return fmt.Errorf("%w: <f id=%q>", ErrSyntax, ids)
 		}
-		fi.ID = id
-		if s, ok := get("s"); ok {
-			fi.SizeKB, err = strconv.ParseUint(s, 10, 64)
+		fi := FileInfo{ID: id}
+		if s, ok := d.get("s"); ok {
+			fi.SizeKB, err = strconv.ParseUint(string(s), 10, 64)
 			if err != nil {
 				return fmt.Errorf("%w: <f s=%q>", ErrSyntax, s)
 			}
 		}
-		fi.NameHash, _ = get("n")
-		fi.TypeHash, _ = get("ty")
+		n, _ := d.get("n")
+		fi.NameHash = text(n)
+		ty, _ := d.get("ty")
+		fi.TypeHash = text(ty)
 		rec.Files = append(rec.Files, fi)
 	case "fr":
-		ids, ok := get("id")
+		ids, ok := d.get("id")
 		if !ok {
 			return fmt.Errorf("%w: <fr> without id", ErrSyntax)
 		}
@@ -314,7 +376,7 @@ func applyChild(rec *Record, name string, attrs []attr) error {
 		}
 		rec.FileRefs = append(rec.FileRefs, id)
 	case "s":
-		cs, ok := get("c")
+		cs, ok := d.get("c")
 		if !ok {
 			return fmt.Errorf("%w: <s> without c", ErrSyntax)
 		}
@@ -324,18 +386,27 @@ func applyChild(rec *Record, name string, attrs []attr) error {
 		}
 		rec.Sources = append(rec.Sources, c)
 	case "k":
-		h, ok := get("h")
+		h, ok := d.get("h")
 		if !ok {
 			return fmt.Errorf("%w: <k> without h", ErrSyntax)
 		}
-		rec.Keywords = append(rec.Keywords, h)
+		rec.Keywords = append(rec.Keywords, text(h))
 	default:
 		return fmt.Errorf("%w: unknown child <%s>", ErrSyntax, name)
 	}
 	return nil
 }
 
-func parseU32(s string) (uint32, error) {
-	v, err := strconv.ParseUint(s, 10, 32)
+func isName(b []byte) bool {
+	for _, c := range b {
+		if !isNameByte(c) {
+			return false
+		}
+	}
+	return true
+}
+
+func parseU32(b []byte) (uint32, error) {
+	v, err := strconv.ParseUint(string(b), 10, 32)
 	return uint32(v), err
 }

@@ -108,19 +108,27 @@ func (l *LiveSource) Close() {
 }
 
 // Frames implements Source: it forwards mirrored datagrams until Close
-// is called (then drains the queue) or ctx is cancelled.
+// is called (then drains the queue) or ctx is cancelled. Emitted
+// timestamps never decrease: Mirror stamps a datagram before queueing
+// it, so concurrent mirrors can enqueue out of time order, and a frame
+// stamped earlier than one already emitted takes that frame's time.
 func (l *LiveSource) Frames(ctx context.Context, emit EmitFunc) error {
+	var last simtime.Time
+	forward := func(f frameItem) error {
+		last = max(last, f.t)
+		return emit(last, f.data)
+	}
 	for {
 		select {
 		case f := <-l.queue:
-			if err := emit(f.t, f.data); err != nil {
+			if err := forward(f); err != nil {
 				return err
 			}
 		case <-l.done:
 			for {
 				select {
 				case f := <-l.queue:
-					if err := emit(f.t, f.data); err != nil {
+					if err := forward(f); err != nil {
 						return err
 					}
 				default:

@@ -205,6 +205,33 @@ func TestLiveSourceCountsQueueOverflow(t *testing.T) {
 	}
 }
 
+// TestLiveSourceTimestampsNeverStepBack: concurrent Mirror calls can
+// queue datagrams out of time order; Frames must still emit
+// non-decreasing timestamps, or the self-capture fails dataset.Verify.
+func TestLiveSourceTimestampsNeverStepBack(t *testing.T) {
+	src := NewLiveSource(8)
+	for _, ms := range []simtime.Time{5, 3, 7, 6, 7, 2, 9} {
+		src.queue <- frameItem{t: ms * simtime.Millisecond}
+	}
+	src.Close()
+	var got []simtime.Time
+	err := src.Frames(context.Background(), func(t simtime.Time, _ []byte) error {
+		got = append(got, t)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 7 {
+		t.Fatalf("emitted %d frames, want 7", len(got))
+	}
+	for i := 1; i < len(got); i++ {
+		if got[i] < got[i-1] {
+			t.Fatalf("timestamp %d steps back: %v", i, got)
+		}
+	}
+}
+
 func TestSessionRequiresServerIP(t *testing.T) {
 	if _, err := NewSession(NewPcapSource("/nonexistent.pcap")).Run(context.Background()); err == nil {
 		t.Fatal("pcap session without server IP accepted")
